@@ -1,42 +1,20 @@
-//! Ablations over the design choices `DESIGN.md` calls out:
+//! Ablations over the external algorithms' design choices:
 //!
-//! 1. Algorithm 2's edge-membership index: the flat oriented adjacency +
-//!    compacting live walk (the default) vs hash table (the paper's
-//!    choice) vs binary search in the CSR,
-//! 2. the partitioner of the external pass (sequential / random / seeded),
-//! 3. the memory budget (M = |G|/4, /8, /16) for TD-bottomup — the knob the
-//!    I/O model trades scans against.
+//! 1. the partitioner of the external pass (sequential / random / seeded),
+//! 2. the memory budget (M = |G|/4, /8, /16) for TD-bottomup — the knob the
+//!    I/O model trades scans against,
+//! 3. TD-topdown's k-init and clean-up optimizations.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 use truss_bench::datasets::{bench_graph, BenchScale};
 use truss_core::bottom_up::{bottom_up_decompose, BottomUpConfig};
-use truss_core::decompose::{truss_decompose_with, EdgeIndexKind, ImprovedConfig};
 use truss_core::top_down::{top_down_decompose, TopDownConfig};
 use truss_graph::generators::datasets::Dataset;
 use truss_storage::partition::PartitionStrategy;
 use truss_storage::record::{EdgeRec, FixedRecord};
 use truss_storage::{IoConfig, IoTracker, ScratchDir};
 use truss_triangle::external::{edge_list_from_graph, external_edge_supports, PassConfig};
-
-fn bench_edge_index(c: &mut Criterion) {
-    let mut group = c.benchmark_group("ablation_edge_index");
-    group.sample_size(10);
-    group.warm_up_time(std::time::Duration::from_millis(500));
-    group.measurement_time(std::time::Duration::from_secs(3));
-    let g = bench_graph(Dataset::Skitter, BenchScale::Tiny);
-    for (label, kind) in [
-        ("oriented", EdgeIndexKind::Oriented),
-        ("hash", EdgeIndexKind::Hash),
-        ("binary-search", EdgeIndexKind::BinarySearch),
-    ] {
-        group.bench_with_input(BenchmarkId::new("improved", label), &g, |b, g| {
-            let cfg = ImprovedConfig { edge_index: kind };
-            b.iter(|| black_box(truss_decompose_with(g, cfg)));
-        });
-    }
-    group.finish();
-}
 
 fn bench_partitioner(c: &mut Criterion) {
     let mut group = c.benchmark_group("ablation_partitioner");
@@ -128,7 +106,6 @@ fn bench_topdown_flags(c: &mut Criterion) {
 
 criterion_group!(
     benches,
-    bench_edge_index,
     bench_partitioner,
     bench_memory_budget,
     bench_topdown_flags

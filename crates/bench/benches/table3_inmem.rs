@@ -6,7 +6,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 use truss_bench::datasets::{bench_graph, BenchScale};
 use truss_core::decompose::naive::truss_decompose_naive_with_memory;
-use truss_core::decompose::{truss_decompose_with, ImprovedConfig};
+use truss_core::decompose::truss_decompose_improved;
 use truss_graph::generators::datasets::Dataset;
 
 fn bench_table3(c: &mut Criterion) {
@@ -26,7 +26,7 @@ fn bench_table3(c: &mut Criterion) {
             b.iter(|| black_box(truss_decompose_naive_with_memory(g)));
         });
         group.bench_with_input(BenchmarkId::new("TD-inmem+", name), &g, |b, g| {
-            b.iter(|| black_box(truss_decompose_with(g, ImprovedConfig::default())));
+            b.iter(|| black_box(truss_decompose_improved(g)));
         });
     }
     group.finish();

@@ -1,27 +1,27 @@
 //! The hot-path perf-trajectory bench: support-init and full
-//! decomposition times for the TD-inmem+ edge-index arms (the paper's
-//! hash table vs the flat oriented + compacting-adjacency default) and a
-//! parallel-engine thread ladder, over the whole generator suite.
+//! decomposition times for the paper's TD-inmem+ (its edge hash table)
+//! and a thread ladder of the PKT engine, over the whole generator suite.
 //!
 //! `repro_hotpath` prints the table and writes the machine-readable
-//! `BENCH_6.json` snapshot at the repo root, so future perf PRs can
+//! snapshot (`BENCH_*.json` at the repo root), so future perf PRs can
 //! attribute wins to the right phase and diff against the recorded
-//! trajectory. Cross-checks every arm's decomposition edge-for-edge and
-//! enforces two exit gates: oriented beats hash (the PR-5 bar) and the
-//! parallel engine at ≥ 4 threads beats serial `inmem+` end-to-end on
-//! every suite graph (the PR-6 bar).
+//! trajectory. Every PKT rung is cross-checked edge-for-edge against
+//! TD-inmem+. `parallel@1` — the default engine's serial direct mode — is
+//! always timed: it is the "vs serial" baseline of the table and of the
+//! exit gate, which requires the engine at ≥ 4 threads to beat it
+//! end-to-end on every suite graph.
 
 use crate::datasets::{bench_graph, scale_factor, BenchScale};
 use crate::table::TableWriter;
 use crate::{secs, time};
-use truss_core::decompose::{truss_decompose_with, DecomposeStats, EdgeIndexKind, ImprovedConfig};
+use truss_core::decompose::{truss_decompose_improved, DecomposeStats};
 use truss_core::parallel::parallel_truss_decompose_with;
 use truss_core::pool::ThreadPool;
 use truss_graph::generators::datasets::{all_datasets, Dataset};
 
 /// One timed arm on one graph.
 pub struct HotpathArm {
-    /// Arm label (`inmem+/hash`, `inmem+/oriented`, `parallel@N`).
+    /// Arm label (`inmem+/hash`, `parallel@N`).
     pub arm: String,
     /// Worker threads the arm ran with (1 for the serial arms).
     pub threads: usize,
@@ -41,7 +41,7 @@ pub struct HotpathRow {
     pub n: usize,
     /// Edges of the built analogue.
     pub m: usize,
-    /// The timed arms: hash, oriented, then the parallel ladder.
+    /// The timed arms: TD-inmem+, then the parallel ladder.
     pub arms: Vec<HotpathArm>,
 }
 
@@ -59,9 +59,10 @@ fn reps() -> usize {
 }
 
 /// The parallel thread ladder: `TRUSS_THREADS` (comma-separated counts,
-/// e.g. `1,2` for the CI smoke) or the default 1/2/4/8 sweep.
+/// e.g. `1,2` for the CI smoke) or the default 1/2/4/8 sweep. A ladder
+/// without 1 gets it prepended: `parallel@1` is the serial baseline.
 pub fn thread_ladder() -> Vec<usize> {
-    let parsed: Vec<usize> = std::env::var("TRUSS_THREADS")
+    let mut parsed: Vec<usize> = std::env::var("TRUSS_THREADS")
         .map(|s| {
             s.split(',')
                 .filter_map(|t| t.trim().parse().ok())
@@ -70,22 +71,19 @@ pub fn thread_ladder() -> Vec<usize> {
         })
         .unwrap_or_default();
     if parsed.is_empty() {
-        vec![1, 2, 4, 8]
-    } else {
-        parsed
+        return vec![1, 2, 4, 8];
     }
+    if !parsed.contains(&1) {
+        parsed.insert(0, 1);
+    }
+    parsed
 }
 
-fn improved_arm(
-    g: &truss_graph::CsrGraph,
-    kind: EdgeIndexKind,
-    label: &'static str,
-) -> (Vec<u32>, HotpathArm) {
+fn improved_arm(g: &truss_graph::CsrGraph) -> (Vec<u32>, HotpathArm) {
     let mut best: Option<(Vec<u32>, HotpathArm)> = None;
     for _ in 0..reps() {
-        let ((d, stats), total) =
-            time(|| truss_decompose_with(g, ImprovedConfig { edge_index: kind }));
-        let arm = arm_from(label.to_string(), 1, stats, total);
+        let ((d, stats), total) = time(|| truss_decompose_improved(g));
+        let arm = arm_from("inmem+/hash".to_string(), 1, stats, total);
         if best.as_ref().is_none_or(|(_, b)| arm.total_s < b.total_s) {
             best = Some((d.trussness().to_vec(), arm));
         }
@@ -142,11 +140,9 @@ pub fn hotpath_rows(scale: BenchScale) -> Vec<HotpathRow> {
 
 fn hotpath_row(d: Dataset, scale: BenchScale, ladder: &[usize]) -> HotpathRow {
     let g = bench_graph(d, scale);
-    let (reference, hash) = improved_arm(&g, EdgeIndexKind::Hash, "inmem+/hash");
-    let (oriented_t, oriented) = improved_arm(&g, EdgeIndexKind::Oriented, "inmem+/oriented");
-    assert_eq!(reference, oriented_t, "{d:?}: oriented arm diverged");
+    let (reference, hash) = improved_arm(&g);
     let name = d.spec().name;
-    let mut arms = vec![hash, oriented];
+    let mut arms = vec![hash];
     for &threads in ladder {
         arms.push(parallel_arm(&g, &reference, threads, name));
     }
@@ -169,7 +165,7 @@ pub fn table_hotpath_rows(rows: &[HotpathRow]) -> TableWriter {
         "vs serial",
     ]);
     for row in rows {
-        let serial_total = row.arms[1].total_s;
+        let serial_total = row.serial().total_s;
         for arm in &row.arms {
             t.row(vec![
                 row.dataset.to_string(),
@@ -220,42 +216,33 @@ pub fn hotpath_json(rows: &[HotpathRow], scale: BenchScale) -> String {
     out
 }
 
-/// Returns whether the oriented arm beat the hash arm on every graph (the
-/// gate `BENCH_5.json` recorded), printing any violation.
-pub fn oriented_wins_everywhere(rows: &[HotpathRow]) -> bool {
-    let mut all = true;
-    for row in rows {
-        let hash = &row.arms[0];
-        let oriented = &row.arms[1];
-        if oriented.total_s >= hash.total_s {
-            eprintln!(
-                "hotpath: oriented arm NOT faster on {} ({} vs {})",
-                row.dataset,
-                secs(std::time::Duration::from_secs_f64(oriented.total_s)),
-                secs(std::time::Duration::from_secs_f64(hash.total_s)),
-            );
-            all = false;
-        }
+impl HotpathRow {
+    /// The serial baseline: the `parallel@1` arm, which
+    /// [`thread_ladder`] always includes.
+    fn serial(&self) -> &HotpathArm {
+        self.arms
+            .iter()
+            .find(|a| a.arm == "parallel@1")
+            .expect("the ladder always includes 1")
     }
-    all
 }
 
-/// Returns whether the parallel engine beat serial `inmem+` end-to-end on
-/// every graph, printing any violation. The candidate is the fastest
-/// ladder rung at ≥ 4 threads (the acceptance bar); if the ladder was
-/// overridden below that — the CI smoke runs 1,2 — the highest rung
-/// stands in so the gate still executes.
+/// Returns whether the parallel engine beat its own serial direct mode
+/// (`parallel@1`) end-to-end on every graph, printing any violation. The
+/// candidate is the fastest ladder rung at ≥ 4 threads (the acceptance
+/// bar); if the ladder was overridden below that — the CI smoke runs 1,2
+/// — the highest rung stands in so the gate still executes.
 pub fn parallel_wins_everywhere(rows: &[HotpathRow]) -> bool {
     let mut all = true;
     for row in rows {
-        let oriented = &row.arms[1];
+        let serial = row.serial();
         let rungs: Vec<&HotpathArm> = row
             .arms
             .iter()
-            .filter(|a| a.arm.starts_with("parallel@"))
+            .filter(|a| a.arm.starts_with("parallel@") && a.threads > 1)
             .collect();
         let Some(max_t) = rungs.iter().map(|a| a.threads).max() else {
-            eprintln!("hotpath: no parallel arm on {}", row.dataset);
+            eprintln!("hotpath: no multi-thread parallel arm on {}", row.dataset);
             all = false;
             continue;
         };
@@ -265,13 +252,13 @@ pub fn parallel_wins_everywhere(rows: &[HotpathRow]) -> bool {
             .filter(|a| a.threads >= bar)
             .min_by(|x, y| x.total_s.total_cmp(&y.total_s))
             .expect("max_t came from a non-empty rung set");
-        if best.total_s >= oriented.total_s {
+        if best.total_s >= serial.total_s {
             eprintln!(
-                "hotpath: {} NOT faster than serial inmem+ on {} ({} vs {})",
+                "hotpath: {} NOT faster than parallel@1 on {} ({} vs {})",
                 best.arm,
                 row.dataset,
                 secs(std::time::Duration::from_secs_f64(best.total_s)),
-                secs(std::time::Duration::from_secs_f64(oriented.total_s)),
+                secs(std::time::Duration::from_secs_f64(serial.total_s)),
             );
             all = false;
         }
@@ -289,26 +276,25 @@ mod tests {
         let ladder = thread_ladder();
         assert_eq!(rows.len(), all_datasets().len());
         for row in &rows {
-            assert_eq!(row.arms.len(), 2 + ladder.len());
+            assert_eq!(row.arms.len(), 1 + ladder.len());
             assert_eq!(row.arms[0].arm, "inmem+/hash");
-            assert_eq!(row.arms[1].arm, "inmem+/oriented");
             for (i, &t) in ladder.iter().enumerate() {
-                assert_eq!(row.arms[2 + i].arm, format!("parallel@{t}"));
-                assert_eq!(row.arms[2 + i].threads, t);
+                assert_eq!(row.arms[1 + i].arm, format!("parallel@{t}"));
+                assert_eq!(row.arms[1 + i].threads, t);
             }
+            assert_eq!(row.serial().threads, 1);
             assert!(row.arms.iter().all(|a| a.total_s >= 0.0));
         }
         let json = hotpath_json(&rows, BenchScale::Tiny);
         assert!(json.contains("\"bench\": \"repro_hotpath\""));
-        assert!(json.contains("\"inmem+/oriented\""));
+        assert!(json.contains("\"inmem+/hash\""));
         assert!(json.contains("\"parallel@"));
         assert!(json.contains("\"threads\": "));
         assert_eq!(json.matches("\"dataset\"").count(), rows.len());
         let table = table_hotpath_rows(&rows).render("hotpath");
-        assert!(table.contains("inmem+/oriented"), "{table}");
-        // The gates must *run* on tiny rows (their verdict is timing-
+        assert!(table.contains("parallel@1"), "{table}");
+        // The gate must *run* on tiny rows (its verdict is timing-
         // dependent, so only the shape is asserted here).
-        let _ = oriented_wins_everywhere(&rows);
         let _ = parallel_wins_everywhere(&rows);
     }
 }

@@ -31,9 +31,9 @@ use crate::table::TableWriter;
 use crate::{bytes_h, time};
 use std::fs::File;
 use std::io::BufWriter;
+use truss_core::decompose::truss_decompose_improved;
 use truss_core::outofcore::{outofcore_decompose, outofcore_minimum_budget, OutOfCoreConfig};
 use truss_core::rss::{reset_peak_rss, RssProbe};
-use truss_core::truss_decompose;
 use truss_graph::generators::datasets::Dataset;
 use truss_graph::CsrGraph;
 use truss_storage::{
@@ -170,7 +170,7 @@ pub fn outofcore_bench(scale: BenchScale) -> OutOfCoreBench {
     // every rung, and its peak RSS is the headline denominator.
     reset_peak_rss();
     let probe = RssProbe::start();
-    let expected = truss_decompose(&g).trussness().to_vec();
+    let expected = truss_decompose_improved(&g).0.trussness().to_vec();
     let inmem_peak_rss_bytes = probe.delta_bytes();
 
     let scratch = ScratchDir::new().expect("scratch dir");

@@ -2,16 +2,23 @@
 
 pub mod bucket;
 pub mod improved;
-pub mod live;
 pub mod naive;
 
-pub use improved::{truss_decompose, truss_decompose_with, EdgeIndexKind, ImprovedConfig};
-pub use live::LiveAdjacency;
+pub use improved::truss_decompose_improved;
 pub use naive::truss_decompose_naive;
 
 use std::time::Duration;
 use truss_graph::section::SectionBuf;
 use truss_graph::{CsrGraph, Edge, EdgeId};
+
+/// Decomposes `g` in memory with the fast peeler: the PKT engine
+/// ([`crate::parallel`]) on one worker, where its direct mode runs the
+/// serial TD-inmem+ schedule over a compacting live adjacency. The
+/// paper's Algorithms 1 and 2 stay available as
+/// [`truss_decompose_naive`] and [`truss_decompose_improved`].
+pub fn truss_decompose(g: &CsrGraph) -> TrussDecomposition {
+    crate::parallel::parallel_truss_decompose(g, 1)
+}
 
 /// Phase accounting of an in-memory decomposition run: the peak tracked
 /// heap plus the wall time split between the two hot phases — support

@@ -21,7 +21,7 @@
 
 use crate::bottom_up::{bottom_up_decompose_in, minimum_budget, BottomUpConfig};
 use crate::decompose::naive::truss_decompose_naive_with_memory;
-use crate::decompose::{truss_decompose_with, ImprovedConfig, TrussDecomposition};
+use crate::decompose::{truss_decompose_improved, TrussDecomposition};
 use crate::index::TrussIndex;
 use crate::top_down::{top_down_decompose_in, TopDownConfig};
 use std::borrow::Cow;
@@ -603,7 +603,7 @@ impl TrussEngine for InmemPlusEngine {
         let g = input.load()?;
         let probe = crate::rss::RssProbe::start();
         let start = Instant::now();
-        let (d, stats) = truss_decompose_with(&g, ImprovedConfig::default());
+        let (d, stats) = truss_decompose_improved(&g);
         let mut report = EngineReport::base_for(self.kind(), start.elapsed());
         report.peak_rss_bytes = probe.delta_bytes();
         report.peak_memory_estimate = stats.peak_bytes;

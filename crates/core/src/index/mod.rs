@@ -131,8 +131,9 @@ impl TrussIndex {
         index
     }
 
-    /// Convenience: decomposes `graph` with the default in-memory
-    /// algorithm (TD-inmem+) and indexes the result. For explicit engine
+    /// Convenience: decomposes `graph` with the default in-memory engine
+    /// (PKT on one worker, [`crate::decompose::truss_decompose`]) and
+    /// indexes the result. For explicit engine
     /// choice use [`TrussEngine::build_index`](crate::engine::TrussEngine::build_index).
     pub fn from_decompose(graph: CsrGraph) -> Self {
         let decomp = crate::decompose::truss_decompose(&graph);

@@ -10,7 +10,7 @@
 //! | Procedure 6 (UpperBounding) | [`upper_bound`] |
 //! | Algorithm 7 + Procedures 8 & 10 (*TD-topdown*) | [`top_down`] |
 //! | k-core decomposition (§7.4 baseline) | [`core_decomposition`] |
-//! | *PKT* (Kabir & Madduri, not in the paper) | [`parallel`] |
+//! | *PKT* (Kabir & Madduri, not in the paper; the default engine) | [`parallel`] |
 //!
 //! All algorithms produce the same [`decompose::TrussDecomposition`] and
 //! sit behind the uniform [`engine::TrussEngine`] registry; the

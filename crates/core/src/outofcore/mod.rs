@@ -406,11 +406,11 @@ pub(crate) fn row_slices(g: &CsrGraph, lo: VertexId, hi: VertexId) -> (&[VertexI
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::decompose::truss_decompose;
+    use crate::decompose::truss_decompose_improved;
     use truss_graph::generators::{figure2_graph, gnm, rmat, RmatConfig};
 
     fn assert_matches_inmem(g: &CsrGraph, cfg: &OutOfCoreConfig) {
-        let expect = truss_decompose(g);
+        let (expect, _) = truss_decompose_improved(g);
         let (got, report) = outofcore_decompose(g, cfg).unwrap();
         assert_eq!(got.trussness(), expect.trussness());
         assert_eq!(got.k_max(), expect.k_max());
@@ -455,7 +455,7 @@ mod tests {
         for (threads, shards) in [(2usize, 5usize), (4, 3), (4, 11), (8, 7)] {
             let cfg = OutOfCoreConfig::with_shards(IoConfig::with_budget(1 << 19), shards)
                 .with_threads(threads);
-            let expect = truss_decompose(&g);
+            let (expect, _) = truss_decompose_improved(&g);
             let (got, report) = outofcore_decompose(&g, &cfg).unwrap();
             assert_eq!(
                 got.trussness(),

@@ -1,23 +1,23 @@
 //! The periodically *compacted* live adjacency of the parallel peel.
 //!
-//! The serial TD-inmem+ peel keeps its live adjacency exact with an O(1)
-//! swap-remove per edge death ([`crate::decompose::live::LiveAdjacency`]).
-//! That design is inherently sequential: the `pos` table that makes
-//! removal O(1) is mutated from both endpoints of every dying edge, so
-//! concurrent frontier processing would race on it. The parallel peel
-//! instead *never removes eagerly*. Dead entries linger in the columns
-//! (the epoch/state array already filters them during the walk, exactly
-//! as it filtered the full static CSR before) and a bulk-synchronous
-//! **compaction** pass — trivially parallel because every vertex segment
-//! is independent — filters them out once enough garbage accumulates.
+//! A serial peel could keep its live adjacency exact with an O(1)
+//! swap-remove per edge death, but that design is inherently sequential:
+//! the position table that makes removal O(1) is mutated from both
+//! endpoints of every dying edge, so concurrent frontier processing would
+//! race on it. The parallel peel instead *never removes eagerly*. Dead
+//! entries linger in the columns (the epoch/state array already filters
+//! them during the walk, exactly as it filtered the full static CSR
+//! before) and a bulk-synchronous **compaction** pass — trivially
+//! parallel because every vertex segment is independent — filters them
+//! out once enough garbage accumulates.
 //!
-//! Layout matches the serial structure minus `pos`: the static CSR shape
-//! (`offsets`) with mutable `verts`/`eids`/`nbr_ranks` columns and a
-//! per-vertex live count. Vertex `v`'s surviving entries occupy
-//! `offsets[v] .. offsets[v] + live_deg[v]`; compaction preserves their
-//! relative order but the walk never relies on it (membership tests go
-//! through [`ForwardAdjacency::edge_between_ranked`] probes, not merges,
-//! so the lists need not stay sorted). The rank column caches each
+//! Layout: the static CSR shape (`offsets`) with mutable
+//! `verts`/`eids`/`nbr_ranks` columns and a per-vertex live count. Vertex
+//! `v`'s surviving entries occupy `offsets[v] .. offsets[v] + live_deg[v]`;
+//! compaction preserves their relative order but the walk never relies on
+//! it (membership tests go through
+//! [`ForwardAdjacency::edge_between_ranked`] probes, not merges, so the
+//! lists need not stay sorted). The rank column caches each
 //! neighbor's orientation rank so a walk feeds the probe without a
 //! random `vertex_rank` read per step.
 //!

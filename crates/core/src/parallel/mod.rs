@@ -4,7 +4,7 @@
 //! registered engine, [`AlgorithmKind::Parallel`], following Kabir &
 //! Madduri's PKT (*Shared-memory Graph Truss Decomposition*): support
 //! initialization by parallel triangle counting
-//! ([`truss_triangle::par::edge_supports_par`]), then bulk-synchronous
+//! ([`truss_triangle::par::edge_supports_fwd_par`]), then bulk-synchronous
 //! level peeling where every edge whose support sits at or below `k − 2`
 //! is peeled concurrently — see [`peel`] for the frontier,
 //! epoch-array and once-per-triangle decrement machinery.
@@ -12,9 +12,11 @@
 //! Work runs on the std-only fork-join pool in [`crate::pool`], honoring
 //! [`EngineConfig::threads`] (`0` = machine width), and the engine is the
 //! one place [`crate::engine::EngineReport::threads_used`] reports a value
-//! other than 1. The decomposition is bit-identical to every serial
-//! engine — the consistency suite cross-checks it pairwise against all
-//! five.
+//! other than 1. It is the default engine: [`crate::decompose::truss_decompose`],
+//! [`crate::index::TrussIndex::from_decompose`] and the CLI route here,
+//! and at one worker its direct mode runs the serial TD-inmem+ schedule.
+//! The decomposition is bit-identical to every serial engine — the
+//! consistency suite cross-checks it pairwise against all five.
 //!
 //! ```
 //! use truss_core::engine::{EngineConfig, EngineInput, EngineRegistry};
@@ -45,8 +47,8 @@ use truss_triangle::{par::edge_supports_fwd_par, ForwardAdjacency};
 
 /// Decomposes `g` with `threads` workers (`0` = machine width).
 ///
-/// Convenience wrapper over [`parallel_truss_decompose_with`]; the result
-/// is identical to [`crate::decompose::truss_decompose`].
+/// Convenience wrapper over [`parallel_truss_decompose_with`];
+/// [`crate::decompose::truss_decompose`] is this at one worker.
 pub fn parallel_truss_decompose(g: &CsrGraph, threads: usize) -> TrussDecomposition {
     parallel_truss_decompose_with(g, &ThreadPool::new(threads)).0
 }
@@ -173,8 +175,8 @@ mod tests {
     fn matches_serial_on_dataset_analogue() {
         let d = truss_graph::generators::datasets::Dataset::P2p;
         let g = d.build_scaled(d.spec().default_scale * 0.02, 42);
-        let serial = crate::decompose::truss_decompose(&g);
-        for threads in [2, 8] {
+        let (serial, _) = crate::decompose::truss_decompose_improved(&g);
+        for threads in [1, 2, 8] {
             // Unclamped so the multi-worker paths run even on a small box.
             let pool = ThreadPool::unclamped(threads);
             let (par, _, _) = parallel_truss_decompose_with(&g, &pool);

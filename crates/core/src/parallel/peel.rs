@@ -674,7 +674,7 @@ mod tests {
     fn matches_serial_on_random_graphs() {
         for seed in 0..6 {
             let g = gnm(70, 520, seed);
-            let serial = crate::decompose::truss_decompose(&g);
+            let serial = crate::decompose::truss_decompose_naive(&g);
             for threads in [1, 2, 4, 8] {
                 let (t, _) = peel_with(&g, threads);
                 assert_eq!(t, serial.trussness(), "seed {seed}, {threads} threads");
@@ -688,7 +688,7 @@ mod tests {
         // cost-balanced block scheduler, parallel seeding and parallel
         // compaction all actually run multi-threaded.
         let g = gnm(1500, 30_000, 3);
-        let serial = crate::decompose::truss_decompose(&g);
+        let (serial, _) = crate::decompose::truss_decompose_improved(&g);
         let (t, stats) = peel_with(&g, 4);
         assert_eq!(t, serial.trussness());
         assert!(stats.compactions > 0, "dense peel never compacted");

@@ -49,6 +49,12 @@ impl ThreadPool {
     /// A pool with configured width `threads`; `0` means "use the machine",
     /// i.e. [`std::thread::available_parallelism`].
     pub fn new(threads: usize) -> Self {
+        if threads == 1 {
+            // The serial path needs no machine query, which reads cgroup
+            // files on Linux (~30 µs a call on a 2-vCPU VM) — a cost
+            // every one-worker `truss_decompose` call would otherwise pay.
+            return ThreadPool::unclamped(1);
+        }
         let machine = std::thread::available_parallelism().map_or(1, |n| n.get());
         let threads = if threads == 0 { machine } else { threads };
         ThreadPool {

@@ -9,8 +9,8 @@ use truss_graph::{CsrGraph, VertexId};
 /// `O(m^1.5)` time and `O(m + n)` space via the forward algorithm — the
 /// initialization step of both in-memory decomposition algorithms (§3).
 /// Enumerates over a freshly built flat [`ForwardAdjacency`]; callers
-/// that keep the oriented adjacency around for later probing (the
-/// TD-inmem+ peel) build it once and use
+/// that keep the oriented adjacency around for later probing (the PKT
+/// peel) build it once and use
 /// [`ForwardAdjacency::edge_supports`] directly.
 pub fn edge_supports(g: &CsrGraph) -> Vec<u32> {
     ForwardAdjacency::build(g).edge_supports()

@@ -15,11 +15,9 @@
 //! * [`external::external_edge_supports`] — the I/O-efficient, partition
 //!   based support computation of Chu & Cheng \[13, 14\] used by stage 1 of
 //!   both external algorithms,
-//! * [`par`] — thread-count-aware twins of the in-memory entry points
-//!   ([`par::for_each_triangle_par`], [`par::edge_supports_par`],
-//!   [`par::triangle_count_par`]) used by the shared-memory parallel
-//!   engine; the `*_fwd_par` variants share a caller-prebuilt
-//!   [`list::ForwardAdjacency`].
+//! * [`par::edge_supports_fwd_par`] — the thread-count-aware support
+//!   initialization of the shared-memory parallel engine, over a
+//!   caller-prebuilt [`list::ForwardAdjacency`].
 
 pub mod count;
 pub mod external;
@@ -29,7 +27,4 @@ pub mod par;
 pub use count::{edge_supports, triangle_count};
 pub use external::external_edge_supports;
 pub use list::{for_each_triangle, intersect_hybrid, intersect_merge, ForwardAdjacency, FwdList};
-pub use par::{
-    edge_supports_fwd_par, edge_supports_par, for_each_triangle_fwd_par, for_each_triangle_par,
-    triangle_count_par,
-};
+pub use par::edge_supports_fwd_par;

@@ -172,10 +172,11 @@ where
 ///    slots of its lower-ranked neighbors — which fills every per-vertex
 ///    segment in ascending rank order without any sorting.
 ///
-/// This is the shared triangle substrate: the serial and parallel listers
-/// enumerate over it, [`crate::count::edge_supports`] counts over it, and
-/// `truss-core`'s TD-inmem+ peel probes it ([`ForwardAdjacency::edge_between`])
-/// in place of a global edge hash map.
+/// This is the shared triangle substrate: the serial lister enumerates
+/// over it, [`crate::count::edge_supports`] and
+/// [`crate::par::edge_supports_fwd_par`] count over it, and `truss-core`'s
+/// PKT peel probes it ([`ForwardAdjacency::edge_between_ranked`]) in place
+/// of a global edge hash map.
 pub struct ForwardAdjacency {
     /// `offsets[v]..offsets[v + 1]` delimits vertex `v`'s entries.
     offsets: Vec<u64>,
@@ -370,8 +371,8 @@ impl ForwardAdjacency {
     /// Looks up the undirected edge id of `(a, b)`, if the edge exists:
     /// a binary search for the higher rank in the lower-ranked endpoint's
     /// forward list — `O(log fwd_deg)`, touching one short sorted run
-    /// instead of a global hash table. This is the TD-inmem+ peel's Step 8
-    /// membership test in the `Oriented` configuration.
+    /// instead of a global hash table. This is the PKT peel's triangle
+    /// closure test (via [`Self::edge_between_ranked`]).
     #[inline]
     pub fn edge_between(&self, a: VertexId, b: VertexId) -> Option<EdgeId> {
         if a == b {

@@ -1,102 +1,27 @@
-//! Thread-count-aware triangle listing and support counting.
+//! Thread-count-aware support counting.
 //!
 //! The forward algorithm ([`crate::list::for_each_triangle`]) splits
 //! cleanly: each triangle is discovered at exactly one (lowest-ranked)
 //! vertex `u`, so enumerating over disjoint vertex ranges partitions the
 //! triangle set. All workers share one read-only flat
 //! [`ForwardAdjacency`] — built once in two O(m) passes, no per-vertex
-//! allocations — instead of the per-vertex `Vec<Vec<_>>` the old code
-//! rebuilt. [`for_each_triangle_par`] is the `list_par` entry (the
-//! callback runs concurrently and must synchronize its own writes);
-//! [`edge_supports_par`] / [`triangle_count_par`] are the `count_par`
-//! entries built on it, accumulating into atomics.
+//! allocations — and [`edge_supports_fwd_par`] is the one parallel
+//! support initialization, the PKT engine's first phase.
 //!
-//! All functions take an explicit thread count and run the serial code
-//! path when it is 1, so callers can thread
-//! `truss_core::engine::EngineConfig::threads` straight through. Work is
-//! scheduled dynamically in fixed-size vertex blocks because per-vertex
-//! triangle cost is heavily skewed on power-law graphs.
+//! It takes an explicit thread count and runs the serial code path when
+//! it is 1, so callers can thread `truss_core::engine::EngineConfig::threads`
+//! straight through. Work is scheduled dynamically in fixed-size vertex
+//! blocks because per-vertex triangle cost is heavily skewed on power-law
+//! graphs.
 
-use crate::list::{for_each_triangle, ForwardAdjacency};
-use std::ops::Range;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use truss_graph::{CsrGraph, EdgeId, VertexId};
+use crate::list::ForwardAdjacency;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use truss_graph::VertexId;
 
 /// Vertices handed to a worker at a time. Small enough to balance skewed
 /// degree distributions, large enough that the shared cursor is not
 /// contended.
 const VERTEX_BLOCK: usize = 256;
-
-/// Spawns `threads` scoped workers running `worker(range)` over dynamic
-/// `VERTEX_BLOCK`-sized chunks of `0..n`. (Kept local: `truss-core`'s pool
-/// depends on this crate, so the dependency cannot point the other way.)
-fn par_blocks<F>(n: usize, threads: usize, worker: F)
-where
-    F: Fn(Range<usize>) + Sync,
-{
-    let cursor = AtomicUsize::new(0);
-    let drain = || loop {
-        let start = cursor.fetch_add(VERTEX_BLOCK, Ordering::Relaxed);
-        if start >= n {
-            break;
-        }
-        worker(start..(start + VERTEX_BLOCK).min(n));
-    };
-    if threads <= 1 {
-        drain();
-        return;
-    }
-    std::thread::scope(|scope| {
-        for _ in 0..threads {
-            scope.spawn(drain);
-        }
-    });
-}
-
-/// Calls `f(u, v, w, e_uv, e_uw, e_vw)` once per triangle of `fwd`'s
-/// graph, from `threads` worker threads sharing the prebuilt flat
-/// adjacency — the entry the parallel engine uses so support
-/// initialization and any later probing reuse one structure.
-///
-/// The callback observes each triangle exactly once but runs concurrently;
-/// it must be `Sync` and synchronize any shared writes. Triangle order is
-/// unspecified.
-pub fn for_each_triangle_fwd_par<F>(fwd: &ForwardAdjacency, threads: usize, f: F)
-where
-    F: Fn(VertexId, VertexId, VertexId, EdgeId, EdgeId, EdgeId) + Sync,
-{
-    let n = fwd.num_vertices();
-    if n == 0 {
-        return;
-    }
-    if threads <= 1 {
-        let mut f = |u, v, w, e1, e2, e3| f(u, v, w, e1, e2, e3);
-        fwd.for_each_triangle(&mut f);
-        return;
-    }
-    let f = &f;
-    par_blocks(n, threads, |range| {
-        for u in range {
-            fwd.for_each_triangle_at(u as VertexId, &mut |a, b, c, e1, e2, e3| {
-                f(a, b, c, e1, e2, e3)
-            });
-        }
-    });
-}
-
-/// Calls `f(u, v, w, e_uv, e_uw, e_vw)` once per triangle of `g`, from
-/// `threads` worker threads — the parallel twin of
-/// [`crate::list::for_each_triangle`].
-pub fn for_each_triangle_par<F>(g: &CsrGraph, threads: usize, f: F)
-where
-    F: Fn(VertexId, VertexId, VertexId, EdgeId, EdgeId, EdgeId) + Sync,
-{
-    if threads <= 1 {
-        return for_each_triangle(g, f);
-    }
-    let fwd = ForwardAdjacency::build_par(g, threads);
-    for_each_triangle_fwd_par(&fwd, threads, f);
-}
 
 /// [`crate::count::edge_supports`] over a prebuilt [`ForwardAdjacency`]
 /// with `threads` workers.
@@ -164,32 +89,12 @@ pub fn edge_supports_fwd_par(fwd: &ForwardAdjacency, threads: usize) -> Vec<u32>
     out
 }
 
-/// [`crate::count::edge_supports`] with `threads` workers: per-edge
-/// support via parallel triangle listing into atomic counters.
-pub fn edge_supports_par(g: &CsrGraph, threads: usize) -> Vec<u32> {
-    if threads <= 1 {
-        return crate::count::edge_supports(g);
-    }
-    let fwd = ForwardAdjacency::build_par(g, threads);
-    edge_supports_fwd_par(&fwd, threads)
-}
-
-/// [`crate::count::triangle_count`] with `threads` workers.
-pub fn triangle_count_par(g: &CsrGraph, threads: usize) -> u64 {
-    let count = AtomicU64::new(0);
-    for_each_triangle_par(g, threads, |_, _, _, _, _, _| {
-        count.fetch_add(1, Ordering::Relaxed);
-    });
-    count.into_inner()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::count::{edge_supports, triangle_count};
-    use std::sync::Mutex;
-    use truss_graph::generators::classic::complete;
+    use crate::count::edge_supports;
     use truss_graph::generators::erdos_renyi::gnm;
+    use truss_graph::{CsrGraph, Edge};
 
     #[test]
     fn supports_match_serial_across_thread_counts() {
@@ -197,49 +102,14 @@ mod tests {
             let g = gnm(120, 1400, seed);
             let serial = edge_supports(&g);
             for threads in [1, 2, 4, 8] {
+                let fwd = ForwardAdjacency::build_par(&g, threads);
                 assert_eq!(
-                    edge_supports_par(&g, threads),
+                    edge_supports_fwd_par(&fwd, threads),
                     serial,
                     "seed {seed}, {threads} threads"
                 );
             }
         }
-    }
-
-    #[test]
-    fn counts_match_serial() {
-        let g = gnm(100, 1200, 7);
-        let serial = triangle_count(&g);
-        for threads in [1, 3, 6] {
-            assert_eq!(triangle_count_par(&g, threads), serial);
-        }
-    }
-
-    #[test]
-    fn listing_yields_each_triangle_once() {
-        let g = complete(9);
-        let seen = Mutex::new(Vec::new());
-        for_each_triangle_par(&g, 4, |u, v, w, _, _, _| {
-            let mut t = [u, v, w];
-            t.sort_unstable();
-            seen.lock().unwrap().push(t);
-        });
-        let mut tris = seen.into_inner().unwrap();
-        tris.sort_unstable();
-        assert_eq!(tris.len(), 9 * 8 * 7 / 6);
-        let mut dedup = tris.clone();
-        dedup.dedup();
-        assert_eq!(tris, dedup);
-    }
-
-    #[test]
-    fn edge_ids_are_correct_in_parallel() {
-        let g = gnm(60, 500, 11);
-        for_each_triangle_par(&g, 3, |u, v, w, e_uv, e_uw, e_vw| {
-            assert_eq!(g.edge(e_uv), truss_graph::Edge::new(u, v));
-            assert_eq!(g.edge(e_uw), truss_graph::Edge::new(u, w));
-            assert_eq!(g.edge(e_vw), truss_graph::Edge::new(v, w));
-        });
     }
 
     #[test]
@@ -254,12 +124,10 @@ mod tests {
 
     #[test]
     fn empty_and_triangle_free() {
-        let empty = CsrGraph::from_edges(vec![]);
-        assert_eq!(triangle_count_par(&empty, 4), 0);
-        let path = CsrGraph::from_edges(vec![
-            truss_graph::Edge::new(0, 1),
-            truss_graph::Edge::new(1, 2),
-        ]);
-        assert_eq!(edge_supports_par(&path, 4), vec![0, 0]);
+        let empty = ForwardAdjacency::build(&CsrGraph::from_edges(vec![]));
+        assert!(edge_supports_fwd_par(&empty, 4).is_empty());
+        let path = CsrGraph::from_edges(vec![Edge::new(0, 1), Edge::new(1, 2)]);
+        let fwd = ForwardAdjacency::build(&path);
+        assert_eq!(edge_supports_fwd_par(&fwd, 4), vec![0, 0]);
     }
 }

@@ -60,5 +60,5 @@ fn main() {
     // Sanity: identical to the in-memory algorithm.
     let exact = truss_decompose(&g);
     assert_eq!(decomposition.trussness(), exact.trussness());
-    println!("\nverified: external result identical to in-memory TD-inmem+");
+    println!("\nverified: external result identical to the in-memory decomposition");
 }

@@ -7,7 +7,9 @@
 //! ```
 
 use truss_decomposition::core::bottom_up::{bottom_up_decompose, BottomUpConfig};
-use truss_decomposition::core::decompose::{truss_decompose, truss_decompose_naive};
+use truss_decomposition::core::decompose::{
+    truss_decompose, truss_decompose_improved, truss_decompose_naive,
+};
 use truss_decomposition::core::top_down::{top_down_decompose, TopDownConfig};
 use truss_decomposition::graph::generators::figures::{
     figure2_graph, figure2_partition, FIGURE2_NAMES,
@@ -31,7 +33,7 @@ fn main() {
     // All four algorithms, one truth.
     let io = IoConfig::with_budget(1 << 20);
     let a1 = truss_decompose_naive(&g);
-    let a2 = truss_decompose(&g);
+    let (a2, _) = truss_decompose_improved(&g);
     let (bu, _) = bottom_up_decompose(&g, &BottomUpConfig::new(io)).unwrap();
     let (td, _) = top_down_decompose(&g, &TopDownConfig::new(io)).unwrap();
     let td = td.to_decomposition(&g).unwrap();

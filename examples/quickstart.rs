@@ -32,7 +32,8 @@ fn main() {
         g.num_edges()
     );
 
-    // The paper's Algorithm 2 (TD-inmem+): O(m^1.5).
+    // The default in-memory peel (PKT on one worker): O(m^1.5), the same
+    // bound and result as the paper's Algorithm 2 (TD-inmem+).
     let decomposition = truss_decompose(&g);
     println!("k_max = {}", decomposition.k_max());
     for (k, size) in decomposition.class_sizes() {

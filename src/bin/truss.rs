@@ -37,7 +37,8 @@
 //! the format it read unless `--format` says otherwise.
 //!
 //! `decompose` and `index build` dispatch through the
-//! [`TrussEngine`](truss_decomposition::engine::TrussEngine) registry —
+//! [`TrussEngine`](truss_decomposition::engine::TrussEngine) registry
+//! (default: the PKT engine `parallel`, at `--threads`, default 1) —
 //! adding an engine to `truss_decomposition::engine::registry()` makes it
 //! available here (including in the usage/error text, which lists the
 //! registered engines dynamically) without CLI changes. `index build`
@@ -72,7 +73,9 @@ use std::time::Instant;
 use truss_decomposition::core::index::IndexFormat;
 use truss_decomposition::core::top_down::{top_down_decompose, TopDownConfig};
 use truss_decomposition::core::TrussDecomposition;
-use truss_decomposition::engine::{registry, EngineConfig, EngineInput, EngineRegistry};
+use truss_decomposition::engine::{
+    registry, AlgorithmKind, EngineConfig, EngineInput, EngineRegistry,
+};
 use truss_decomposition::graph::generators::datasets::dataset_by_name;
 use truss_decomposition::graph::metrics::{average_local_clustering, degree_stats};
 use truss_decomposition::graph::{io as gio, CsrGraph};
@@ -103,6 +106,10 @@ fn algo_list(engines: &EngineRegistry) -> String {
         .collect::<Vec<_>>()
         .join("|")
 }
+
+/// The engine `decompose` and `index build` run without `--algo`: the PKT
+/// peeler, serial at the default `--threads 1`.
+const DEFAULT_ENGINE: AlgorithmKind = AlgorithmKind::Parallel;
 
 fn unknown_algo(engines: &EngineRegistry, algo: &str) -> String {
     format!("unknown --algo {algo:?} (known: {})", algo_list(engines))
@@ -137,7 +144,8 @@ usage:
 inputs: auto-detected by magic — TRUSSGR1 binaries, TRUSSGR2 zero-copy
   snapshots (mmap-served), SNAP text otherwise; generate picks the format
   from the extension (*.bin = v1 binary, *.gr2 = v2 snapshot, else SNAP)
---threads N sets the parallel engine's worker count (serial engines run 1)
+--algo defaults to {default}; --threads N (default 1) sets the worker count
+  of parallel and outofcore, the other engines run 1
 --report json appends the engine report as one JSON line after the TSV
 --format/--to pick an on-disk format: v1 record files or v2 snapshots
   (index build defaults to v2; index update rewrites what it read)
@@ -153,7 +161,8 @@ query: reads a local <index> file, or with --remote asks a running daemon
   status` as one JSON line instead of text)
 log: inspect prints a TRUSSLOG's header, records, and torn-tail bytes;
   truncate drops a torn tail in place (both refuse mid-file corruption)",
-        algos = algo_list(&registry())
+        algos = algo_list(&registry()),
+        default = DEFAULT_ENGINE.name(),
     )
 }
 
@@ -326,7 +335,7 @@ impl DecomposeFlags {
 fn cmd_decompose(args: &Args) -> Result<(), String> {
     // Validate every flag before the (possibly long) load and run.
     let flags = DecomposeFlags::parse(args)?;
-    let algo = args.get("algo").unwrap_or("inmem+");
+    let algo = args.get("algo").unwrap_or(DEFAULT_ENGINE.name());
     let engines = registry();
     let engine = engines
         .by_name(algo)
@@ -381,7 +390,7 @@ fn cmd_index_build(args: &Args) -> Result<(), String> {
     let flags = DecomposeFlags::parse(args)?;
     let format = parse_format(args, "format")?.unwrap_or(IndexFormat::V2);
     let out = args.get("out").ok_or("--out is required")?;
-    let algo = args.get("algo").unwrap_or("inmem+");
+    let algo = args.get("algo").unwrap_or(DEFAULT_ENGINE.name());
     let engines = registry();
     let engine = engines
         .by_name(algo)

@@ -272,6 +272,60 @@ fn parallel_engine_accepts_thread_ladder() {
     assert!(out.status.success(), "{out:?}");
 }
 
+/// Without `--algo`, `decompose` and `index build` run the PKT engine at
+/// `--threads`, and their output is byte-identical to the paper's
+/// TD-inmem+ (`--algo inmem+`).
+#[test]
+fn default_engine_is_parallel_and_matches_inmem_plus() {
+    let input = temp_file("default-engine.snap");
+    let base = truss_decomposition::graph::generators::gnm(300, 3000, 7);
+    let g = truss_decomposition::graph::generators::planted_clique(&base, 12, 3);
+    truss_decomposition::graph::io::write_snap(&g, std::fs::File::create(&input).unwrap()).unwrap();
+    let input = input.to_str().unwrap();
+    let decompose = |extra: &[&str]| {
+        let out = truss_bin()
+            .arg("decompose")
+            .args(extra)
+            .args(["--report", "json", input])
+            .output()
+            .unwrap();
+        assert!(out.status.success(), "{extra:?}: {out:?}");
+        let stdout = String::from_utf8(out.stdout).unwrap();
+        let (tsv, json) = stdout.trim_end().rsplit_once('\n').unwrap();
+        (tsv.to_string(), json.to_string())
+    };
+    let (tsv, json) = decompose(&["--threads", "2"]);
+    assert!(json.contains("\"algorithm\":\"parallel\""), "{json}");
+    assert_eq!(json_u64(&json, "threads_used"), 2, "{json}");
+    assert_eq!(tsv.lines().count(), g.num_edges());
+    let (paper_tsv, paper_json) = decompose(&["--algo", "inmem+"]);
+    assert!(
+        paper_json.contains("\"algorithm\":\"inmem+\""),
+        "{paper_json}"
+    );
+    assert!(tsv == paper_tsv, "default engine's TSV differs from inmem+");
+
+    let build = |extra: &[&str], name: &str| {
+        let out_path = temp_file(name);
+        let out = truss_bin()
+            .args(["index", "build"])
+            .args(extra)
+            .args(["--out", out_path.to_str().unwrap(), input])
+            .output()
+            .unwrap();
+        assert!(out.status.success(), "{extra:?}: {out:?}");
+        let stderr = String::from_utf8(out.stderr).unwrap();
+        (std::fs::read(&out_path).unwrap(), stderr)
+    };
+    let (default_index, stderr) = build(&["--threads", "2"], "default-engine.tix");
+    assert!(stderr.contains("(parallel: "), "{stderr}");
+    let (paper_index, _) = build(&["--algo", "inmem+"], "default-engine-inmem.tix");
+    assert!(
+        default_index == paper_index,
+        "default engine's index differs from inmem+"
+    );
+}
+
 #[test]
 fn decompose_flag_validation() {
     let input = figure2_file();

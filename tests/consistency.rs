@@ -225,7 +225,7 @@ fn parallel_peel_is_deterministic_across_wide_ladders() {
         ("gnm-dense", gen::gnm(1200, 24_000, 9)),
     ];
     for (name, g) in graphs {
-        let reference = truss_decomposition::prelude::truss_decompose(&g);
+        let (reference, _) = truss_decomposition::core::decompose::truss_decompose_improved(&g);
         for threads in [16usize, 32] {
             let pool = ThreadPool::unclamped(threads);
             for rep in 0..2 {

@@ -3,7 +3,9 @@
 
 use proptest::prelude::*;
 use truss_decomposition::core::core_decomposition::core_decompose;
-use truss_decomposition::core::decompose::{truss_decompose, truss_decompose_naive};
+use truss_decomposition::core::decompose::{
+    truss_decompose, truss_decompose_improved, truss_decompose_naive,
+};
 use truss_decomposition::core::outofcore::spill::SpillDrain;
 use truss_decomposition::core::outofcore::state::StateFile;
 use truss_decomposition::core::outofcore::support::sharded_supports;
@@ -177,12 +179,14 @@ proptest! {
         }
     }
 
-    /// Algorithm 1 and Algorithm 2 agree.
+    /// Algorithm 1 and Algorithm 2 agree, and the default PKT peel with
+    /// them.
     #[test]
     fn naive_equals_improved(g in arb_graph(36, 260)) {
-        let a = truss_decompose(&g);
+        let (a, _) = truss_decompose_improved(&g);
         let b = truss_decompose_naive(&g);
         prop_assert_eq!(a.trussness(), b.trussness());
+        prop_assert_eq!(truss_decompose(&g).trussness(), b.trussness());
     }
 
     /// A k-truss is a (k−1)-core (§1): every vertex of T_k has core number
